@@ -27,7 +27,7 @@ bytes — no tree unpickling, no per-tree index rebuild.
 """
 
 from .corpus import TreeCorpus
-from .executor import BatchResult, ChunkReport, run_batch
+from .executor import BatchResult, ChunkReport, run_batch, stacked_cache_info
 from .query import (
     KINDS,
     CorpusQuery,
@@ -76,6 +76,7 @@ __all__ = [
     "run_batch",
     "select_query",
     "sidecar_path",
+    "stacked_cache_info",
     "write_sidecar",
     "xpath_query",
 ]

@@ -28,7 +28,7 @@ from ..engine.stats import CorpusStatistics, corpus_statistics
 from ..trees.generators import random_tree
 from ..trees.parser import parse_term
 from ..trees.tree import Tree
-from .executor import BatchResult, _make_pools, run_batch
+from .executor import BatchResult, _make_pools, retire_stacked, run_batch
 from .query import CorpusQuery
 
 __all__ = ["TreeCorpus"]
@@ -159,7 +159,9 @@ class TreeCorpus:
         """Evaluate a query batch over trees ``[start, stop)`` of the
         corpus (default: all of it).
 
-        Serial runs reuse the pinned indexes directly; worker runs
+        Serial runs reuse the pinned indexes directly, and stack each
+        vectorized chunk's lanes once for every later run of the same
+        window (:func:`~repro.corpus.stacked_cache_info`); worker runs
         reuse this corpus's persistent routed pools for ``workers``,
         creating them on first use — so each chunk revisits a worker
         that already holds its trees and indexes warm.  The service
@@ -232,7 +234,9 @@ class TreeCorpus:
     # -- lifecycle ----------------------------------------------------
 
     def close(self) -> None:
-        """Shut down every pool this corpus created."""
+        """Shut down every pool this corpus created and release its
+        stacked shards from the in-process memo."""
+        retire_stacked(self._token)
         pools, self._pools = self._pools, {}
         for routed in pools.values():
             for pool in routed:

@@ -29,11 +29,15 @@ caller's, and no fallback could answer them.
 
 from __future__ import annotations
 
+import operator
+import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..caching import CacheInfo
 from ..engine import fo as fast_fo
 from ..engine import walk as engine_walk
 from ..engine import xpath as fast_xpath
@@ -62,7 +66,13 @@ from ..resilience.faults import Fault, FaultInjector
 from ..trees.tree import Tree
 from .query import CorpusQuery
 
-__all__ = ["ChunkReport", "BatchResult", "run_batch", "plan_queries"]
+__all__ = [
+    "ChunkReport",
+    "BatchResult",
+    "run_batch",
+    "plan_queries",
+    "stacked_cache_info",
+]
 
 #: Engines a batch can run on.  ``"fast"`` is the indexed set-at-a-time
 #: path with per-chunk reference degradation; ``"reference"`` runs the
@@ -277,6 +287,104 @@ _ChunkPayload = Tuple[
 #: so the cache is bounded by one corpus's chunks.
 _WORKER_TREES: Dict[Tuple[str, int, int], Tuple] = {}
 
+
+class _StackedMemo:
+    """In-process stacked lanes: (token, start, stop) → StackedShard.
+
+    The serial path's counterpart of :data:`_WORKER_TREES`: a chunk of
+    a corpus's pinned indexes is stacked on its first run and the shard
+    is reused on every later run of the same window, so a warm chunk
+    pays only the IR kernel.  A hit needs the very index objects the
+    shard was stacked from.  Only the latest token is retained, and the
+    lanes held never exceed that corpus's tree count — at most one
+    stacked copy of the corpus.  Once that is full, a window displaces
+    the least recently used shards only on its second miss: a service's
+    one-off windows would otherwise churn the memo on every request,
+    which measured slower than not storing them at all.  Locked: the
+    query service runs batches from a thread pool."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._token: Optional[str] = None
+        self._shards: "OrderedDict[Tuple[int, int], StackedShard]" = (
+            OrderedDict()
+        )
+        #: Windows that missed once while the memo was full, oldest
+        #: first; at most as many as the corpus has trees.
+        self._missed: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
+        self._lanes = 0
+        self._limit = 0
+        self._hits = 0
+        self._misses = 0
+
+    def shard(self, token: str, start: int, stop: int, limit: int,
+              indexes: Tuple[TreeIndex, ...]) -> StackedShard:
+        key = (start, stop)
+        with self._lock:
+            cached = self._shards.get(key) if token == self._token else None
+            if (
+                cached is not None
+                and len(cached.indexes) == len(indexes)
+                and all(map(operator.is_, cached.indexes, indexes))
+            ):
+                self._shards.move_to_end(key)
+                self._hits += 1
+                return cached
+            self._misses += 1
+        shard = StackedShard(indexes)  # outside the lock: the slow part
+        with self._lock:
+            if token != self._token:
+                self._clear()
+                self._token = token
+            self._limit = limit
+            stale = self._shards.pop(key, None)
+            if stale is not None:
+                self._lanes -= stale.lanes
+            if self._lanes + shard.lanes > limit and key not in self._missed:
+                self._missed[key] = None
+                if len(self._missed) > limit:
+                    self._missed.popitem(last=False)
+                return shard
+            self._missed.pop(key, None)
+            while self._shards and self._lanes + shard.lanes > limit:
+                self._lanes -= self._shards.popitem(last=False)[1].lanes
+            if shard.lanes <= limit:
+                self._shards[key] = shard
+                self._lanes += shard.lanes
+        return shard
+
+    def retire(self, token: str) -> None:
+        with self._lock:
+            if token == self._token:
+                self._clear()
+                self._token = None
+
+    def info(self) -> CacheInfo:
+        with self._lock:
+            return CacheInfo(
+                self._hits, self._misses, self._limit, self._lanes
+            )
+
+    def _clear(self) -> None:
+        self._shards.clear()
+        self._missed.clear()
+        self._lanes = 0
+
+
+_STACKED = _StackedMemo()
+
+
+def stacked_cache_info() -> CacheInfo:
+    """Hit/miss statistics of the in-process stacked-shard memo;
+    ``maxsize`` and ``currsize`` count lanes (one per tree)."""
+    return _STACKED.info()
+
+
+def retire_stacked(token: str) -> None:
+    """Drop the memo's shards if they belong to corpus ``token``."""
+    _STACKED.retire(token)
+
+
 #: Returned by a worker asked to run a chunk from warm state it does
 #: not have (e.g. the worker process was restarted).  The parent then
 #: re-runs the chunk itself from the full payload.
@@ -406,20 +514,25 @@ def _evaluate_packed(lanes: Tuple, queries: Sequence[CorpusQuery],
     """One chunk's cells evaluated entirely from packed lanes: every
     query's IR plan interpreted once over one :class:`StackedShard` of
     :class:`PackedIndex` lanes — no tree objects, no TreeIndex builds."""
-    plans = _packed_plans(queries, engine)
-    shard = StackedShard(lanes)
+    columns = _stacked_columns(
+        StackedShard(lanes), _packed_plans(queries, engine)
+    )
+    return tuple(zip(*columns)) if columns else ((),) * len(lanes)
+
+
+def _stacked_columns(shard: StackedShard, plans) -> List[List[object]]:
+    """Each plan interpreted once over the whole shard and split back
+    into one column of per-tree answers, tree order."""
     columns = []
     for plan in plans:
-        split = shard.split(evaluate_shard(plan, shard))
+        lanes = shard.split(evaluate_shard(plan, shard))
         if plan.mode == "boolean":
-            columns.append([bool(lane) for lane in split])
+            columns.append([bool(lane) for lane in lanes])
         else:
             columns.append([
-                idx.to_nodes(lane) for idx, lane in zip(lanes, split)
+                idx.to_nodes(lane) for idx, lane in zip(shard.indexes, lanes)
             ])
-    return tuple(
-        tuple(column[i] for column in columns) for i in range(len(lanes))
-    )
+    return columns
 
 
 def _warm_chunk(
@@ -457,6 +570,7 @@ def _evaluate_rows(
     queries: Sequence[CorpusQuery],
     engine: Union[str, Tuple[str, ...]],
     indexes: Optional[Sequence[TreeIndex]],
+    warm: Optional[Tuple[str, int, int, int]] = None,
 ) -> Tuple[Tuple[object, ...], ...]:
     """One chunk's cells: a stacked shard pass for the vectorized
     queries, then the tree-outer, query-inner sweep for the rest.
@@ -465,7 +579,10 @@ def _evaluate_rows(
     path) one planner-chosen name per query.  Each ``"vectorized"``
     query lowers to one IR plan evaluated *once* across every tree of
     the chunk (each tree in its own bit lane); queries the IR cannot
-    express quietly take the per-tree fast path instead."""
+    express quietly take the per-tree fast path instead.  ``warm`` —
+    ``(token, start, stop, corpus size)`` for a chunk of pinned indexes
+    — takes the shard from the in-process memo.  A chunk whose queries
+    all ran stacked does no per-tree work at all."""
     for query in queries:
         compile_query(query)
     engines = list(
@@ -482,21 +599,16 @@ def _evaluate_rows(
             stacked[position] = plan
     columns: Dict[int, List[object]] = {}
     if stacked and trees:
-        tree_indexes = (
-            tuple(indexes)
-            if indexes is not None
-            else tuple(index_for(tree) for tree in trees)
-        )
-        shard = StackedShard(tree_indexes)
-        for position, plan in stacked.items():
-            lanes = shard.split(evaluate_shard(plan, shard))
-            if plan.mode == "boolean":
-                columns[position] = [bool(lane) for lane in lanes]
-            else:
-                columns[position] = [
-                    idx.to_nodes(lane)
-                    for idx, lane in zip(tree_indexes, lanes)
-                ]
+        if indexes is None:
+            shard = StackedShard(tuple(index_for(tree) for tree in trees))
+        elif warm is None:
+            shard = StackedShard(tuple(indexes))
+        else:
+            shard = _STACKED.shard(*warm, tuple(indexes))
+        stacked_columns = _stacked_columns(shard, stacked.values())
+        if len(stacked) == len(queries):
+            return tuple(zip(*stacked_columns))
+        columns = dict(zip(stacked, stacked_columns))
     rows = []
     for position, tree in enumerate(trees):
         if indexes is not None:
@@ -512,16 +624,21 @@ def _evaluate_rows(
     return tuple(rows)
 
 
-def _run_chunk(payload: _ChunkPayload):
+def _run_chunk(payload: _ChunkPayload, corpus_size: int = 0):
     """Evaluate one chunk; degrade to the reference engine on faults.
 
     Runs in a worker process under ``workers > 0`` — everything it
     touches (plan cache, index cache) is that worker's own warm state.
+    In-process, a chunk of a tokened corpus's pinned indexes stacks
+    through the memo, bounded by ``corpus_size`` lanes.
     """
     (index, start, stop, trees, queries, engine,
      budget_steps, fault, indexes, token, shard,
      budget_seconds, on_exhausted) = payload
     started = time.perf_counter()
+    warm = None
+    if corpus_size and token is not None and indexes is not None:
+        warm = (token, start, stop, corpus_size)
     lanes = None
     if trees is None:
         cached = _WORKER_TREES.get((token, start, stop))
@@ -580,12 +697,12 @@ def _run_chunk(payload: _ChunkPayload):
                 rows = (
                     _evaluate_packed(lanes, queries, engine)
                     if lanes is not None
-                    else _evaluate_rows(trees, queries, attempt, indexes)
+                    else _evaluate_rows(trees, queries, attempt, indexes, warm)
                 )
         elif lanes is not None:
             rows = _evaluate_packed(lanes, queries, engine)
         else:
-            rows = _evaluate_rows(trees, queries, attempt, indexes)
+            rows = _evaluate_rows(trees, queries, attempt, indexes, warm)
         report = ChunkReport(
             index, start, stop, attempted_name, False, None,
             time.perf_counter() - started,
@@ -682,11 +799,13 @@ def run_batch(
     with a sequence, chunk *i* always routes to pool ``i % len(pool)``,
     so a chunk revisits the same worker batch after batch.  ``indexes``
     supplies pre-built pinned indexes, used on the in-process path
-    only.  ``token`` (supplied by ``TreeCorpus``) marks the tree
-    sequence as immutable so routed workers may keep per-chunk trees
-    and indexes warm across batches — warm chunks ship ``trees=None``
-    and fall back to a parent-side run if the worker lost its state;
-    leave it ``None`` for ad-hoc calls.
+    only; with a ``token`` as well, each chunk's stacked shard is kept
+    in an in-process memo (at most ``len(indexes)`` lanes) and reused
+    by later batches over the same window.  ``token`` (supplied by
+    ``TreeCorpus``) marks the tree sequence as immutable so routed
+    workers may keep per-chunk trees and indexes warm across batches —
+    warm chunks ship ``trees=None`` and fall back to a parent-side run
+    if the worker lost its state; leave it ``None`` for ad-hoc calls.
 
     ``engine="auto"`` resolves each query to its planner-chosen engine
     against the corpus statistics (``stats`` when supplied — as
@@ -787,8 +906,9 @@ def run_batch(
     results: Dict[int, Tuple] = {}
     reports: Dict[int, ChunkReport] = {}
     if workers == 0 or len(payloads) == 0:
+        corpus_size = len(indexes) if indexes is not None else 0
         for payload in payloads:
-            chunk_index, rows, report = _run_chunk(payload)
+            chunk_index, rows, report = _run_chunk(payload, corpus_size)
             results[chunk_index] = rows
             reports[chunk_index] = report
     else:

@@ -40,6 +40,7 @@ The fourteen pairs and the equivalence each one guards:
 ``vectorized/sequential``       the stacked shard executor — every tree of a
                                 chunk packed into one wide integer per IR op —
                                 vs the same per-tree loop, under two chunkings
+                                and a warm (memoized-shard) corpus rerun
 ``store/sequential``            a disk-backed :class:`~repro.corpus.CorpusStore`
                                 batch (segment files, mmap-lazy loading) vs the
                                 in-memory per-tree loop, under two chunkings
@@ -1106,7 +1107,9 @@ class VectorizedVsSequential(EnginePair):
     including FO(∃*) selection, and the all-pairs relation kind, whose
     per-tree fallback inside the vectorized path must splice cleanly
     into the stacked columns.  Both single-tree chunks (every lane
-    width degenerate) and the default chunking are checked."""
+    width degenerate) and the default chunking are checked, and so are
+    two runs through one :class:`~repro.corpus.TreeCorpus` — the second
+    answers from the in-process stacked-shard memo."""
 
     name = "vectorized/sequential"
 
@@ -1130,7 +1133,7 @@ class VectorizedVsSequential(EnginePair):
         return Case(tree, CorpusQuery(kind, text))
 
     def check(self, case: Case) -> Outcome:
-        from ..corpus.executor import run_batch
+        from ..corpus import TreeCorpus, run_batch
 
         query = case.query
         members = _corpus_members(case.tree)
@@ -1145,9 +1148,16 @@ class VectorizedVsSequential(EnginePair):
         rechunked = run_batch(
             members, [query], engine="vectorized"
         ).for_query(0)
-        return Outcome(
-            left == rechunked, str(left), str(rechunked), left_s, right_s
-        )
+        if left != rechunked:
+            return Outcome(False, str(left), str(rechunked), left_s, right_s)
+        with TreeCorpus(members) as corpus:
+            for _ in range(2):  # the second pass reuses the stacked shards
+                warm = corpus.run([query], engine="vectorized").for_query(0)
+                if left != warm:
+                    return Outcome(
+                        False, str(left), str(warm), left_s, right_s
+                    )
+        return Outcome(True, str(left), str(rechunked), left_s, right_s)
 
     def shrink_query(self, query) -> Iterable[object]:
         from ..corpus.query import CorpusQuery

@@ -37,7 +37,7 @@ import threading
 import time
 from typing import Dict, Optional, Sequence
 
-from ..corpus.executor import BatchResult, plan_queries
+from ..corpus.executor import BatchResult, plan_queries, stacked_cache_info
 from ..corpus.query import KINDS, CorpusQuery
 from ..resilience.errors import ParseError, ReproError, ResourceExhausted
 from ..resilience.faults import Fault
@@ -389,6 +389,7 @@ class Dispatcher:
         )
         if self.result_cache is not None:
             payload["result_cache"] = self.result_cache.info()
+        payload["stacked_cache"] = stacked_cache_info()._asdict()
         if self.resilience_log is not None:
             payload["resilience"] = self.resilience_log.snapshot()
         return payload

@@ -8,7 +8,8 @@ exact query fingerprint, counts its own hits and misses (the wrapped
 ``replace``, ``recover``+``compact`` — moves the corpus token and so
 orphans all cached windows without any explicit invalidation;
 fault-injected requests bypass the cache in both directions; the
-``stats`` verb surfaces the counters.
+``stats`` verb surfaces the counters, and those of the executor's
+in-process stacked-shard memo.
 """
 
 import pytest
@@ -215,3 +216,22 @@ def test_in_memory_corpus_is_cacheable_too():
     assert replay.get("cached") is True
     assert replay["results"] == first["results"]
     corpus.close()
+
+
+def test_stats_renders_the_stacked_shard_memo():
+    with TreeCorpus.from_terms(
+        ["σ(δ, σ)", "δ(σ(δ))", "σ(σ)", "σ(δ(δ), σ)"]
+    ) as corpus:
+        dispatcher = Dispatcher(corpus, workers=0)
+        session = dispatcher.open_session()
+        request = _window_request(engine="vectorized")
+        first = dispatcher.handle(request, session)
+        before = dispatcher.handle({"op": "stats"}, session)["stacked_cache"]
+        replay = dispatcher.handle(request, session)
+        after = dispatcher.handle({"op": "stats"}, session)["stacked_cache"]
+        assert replay["results"] == first["results"]
+        assert set(after) == {"hits", "misses", "maxsize", "currsize"}
+        assert after["hits"] > before["hits"]  # the repeat stacked nothing
+        assert after["misses"] == before["misses"]
+        assert after["maxsize"] == len(corpus)
+        assert 0 < after["currsize"] <= len(corpus)

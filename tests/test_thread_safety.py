@@ -1,16 +1,20 @@
 """Concurrent-hammer regressions for the shared mutable state the
 query service leans on: :class:`repro.caching.KeyedLRU` (plan and
-index caches shared across session threads) and
-:class:`repro.resilience.log.ResilienceLog` (one log, many recorders).
+index caches shared across session threads),
+:class:`repro.resilience.log.ResilienceLog` (one log, many recorders)
+and the executor's in-process stacked-shard memo (one corpus's
+shards, many batch threads).
 
 Each hammer drives many threads through the full API mix and then
 checks *invariants*, not schedules: returned values are always correct
 for their key, caches never exceed their bound, counters add up
 exactly, and every mid-flight snapshot is internally consistent."""
 
+import sys
 import threading
 
 from repro.caching import KeyedLRU
+from repro.corpus import TreeCorpus, ask_query, stacked_cache_info, xpath_query
 from repro.resilience.log import ResilienceLog
 
 THREADS = 8
@@ -161,3 +165,40 @@ class TestResilienceLogHammer:
                 assert snap["calls"] == snap["fast_successes"]
 
         _run_threads(hammer)
+
+
+class TestStackedMemoHammer:
+    def test_overlapping_windows_answer_as_the_serial_oracle(self):
+        queries = [
+            xpath_query("//σ//δ"),
+            ask_query("exists x exists y (x << y & O_σ(x) & O_δ(y))"),
+        ]
+        with TreeCorpus.random(48, max_size=24, seed=11) as corpus:
+            oracle = corpus.run(queries, engine="fast").rows
+            windows = [(0, 48), (0, 24), (12, 36), (24, 48), (0, 24), (5, 40)]
+
+            finished = []
+
+            def hammer(worker_id):
+                for i in range(12):
+                    start, stop = windows[(worker_id + i) % len(windows)]
+                    rows = corpus.run(
+                        queries, engine="auto", start=start, stop=stop,
+                        chunk_size=8 + 4 * (worker_id % 2),
+                    ).rows
+                    assert rows == oracle[start:stop]
+                    info = stacked_cache_info()
+                    assert info.currsize <= len(corpus)
+                finished.append(worker_id)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave inside the memo
+            try:
+                _run_threads(hammer)
+            finally:
+                sys.setswitchinterval(interval)
+            assert sorted(finished) == list(range(THREADS))
+            info = stacked_cache_info()
+            assert info.maxsize == len(corpus)
+            assert 0 < info.currsize <= len(corpus)
+            assert info.hits > 0
