@@ -32,7 +32,6 @@ from __future__ import annotations
 import operator
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -296,22 +295,14 @@ class _StackedMemo:
     is reused on every later run of the same window, so a warm chunk
     pays only the IR kernel.  A hit needs the very index objects the
     shard was stacked from.  Only the latest token is retained, and the
-    lanes held never exceed that corpus's tree count — at most one
-    stacked copy of the corpus.  Once that is full, a window displaces
-    the least recently used shards only on its second miss: a service's
-    one-off windows would otherwise churn the memo on every request,
-    which measured slower than not storing them at all.  Locked: the
-    query service runs batches from a thread pool."""
+    lanes held never exceed that corpus's tree count: a shard that
+    would pass it is returned unstored.  Locked: the query service runs
+    batches from a thread pool."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._token: Optional[str] = None
-        self._shards: "OrderedDict[Tuple[int, int], StackedShard]" = (
-            OrderedDict()
-        )
-        #: Windows that missed once while the memo was full, oldest
-        #: first; at most as many as the corpus has trees.
-        self._missed: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
+        self._shards: Dict[Tuple[int, int], StackedShard] = {}
         self._lanes = 0
         self._limit = 0
         self._hits = 0
@@ -327,7 +318,6 @@ class _StackedMemo:
                 and len(cached.indexes) == len(indexes)
                 and all(map(operator.is_, cached.indexes, indexes))
             ):
-                self._shards.move_to_end(key)
                 self._hits += 1
                 return cached
             self._misses += 1
@@ -340,15 +330,7 @@ class _StackedMemo:
             stale = self._shards.pop(key, None)
             if stale is not None:
                 self._lanes -= stale.lanes
-            if self._lanes + shard.lanes > limit and key not in self._missed:
-                self._missed[key] = None
-                if len(self._missed) > limit:
-                    self._missed.popitem(last=False)
-                return shard
-            self._missed.pop(key, None)
-            while self._shards and self._lanes + shard.lanes > limit:
-                self._lanes -= self._shards.popitem(last=False)[1].lanes
-            if shard.lanes <= limit:
+            if self._lanes + shard.lanes <= limit:
                 self._shards[key] = shard
                 self._lanes += shard.lanes
         return shard
@@ -367,7 +349,6 @@ class _StackedMemo:
 
     def _clear(self) -> None:
         self._shards.clear()
-        self._missed.clear()
         self._lanes = 0
 
 

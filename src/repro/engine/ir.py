@@ -305,7 +305,9 @@ class StackedShard:
     (confined to a tree) can never carry across lanes and the SWAR
     broadcast of ``AnyLane`` folds exactly one lane.  Structural masks
     and shift groups are stacked eagerly (one pass over the indexes);
-    label masks are stacked lazily per distinct label.
+    label masks are stacked lazily per distinct label and kept only for
+    labels that occur in the shard, so a long-lived shard holds at most
+    one mask per label of its own trees.
     """
 
     __slots__ = (
@@ -359,7 +361,8 @@ class StackedShard:
             mask = stack_masks(
                 (index.labelled(name) for index in self.indexes), self.width
             )
-            self._labels[name] = mask
+            if mask:  # absent names are not kept
+                self._labels[name] = mask
         return mask
 
     def split(self, bits: int) -> List[int]:

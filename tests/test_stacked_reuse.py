@@ -6,9 +6,9 @@ run of the same window.  These tests pin the memo's contract: a warm
 repeat builds no shard and answers exactly as the per-tree engine and
 a fresh corpus do; keys never alias across windows or corpora; only
 the latest corpus is held, within its tree count, and ``close()``
-releases it; a full memo admits a window only on its second miss; and
-a fully stacked chunk does no per-tree work at all
-(the global index LRU is never touched).
+releases it; a full memo stores no further window; a held shard keeps
+no mask for a label its trees lack; and a fully stacked chunk does no
+per-tree work at all (the global index LRU is never touched).
 """
 
 import pytest
@@ -22,6 +22,7 @@ from repro.corpus import (
     stacked_cache_info,
     xpath_query,
 )
+from repro.corpus import executor
 from repro.engine import index as engine_index
 from repro.engine import ir
 
@@ -134,18 +135,34 @@ def test_lanes_never_exceed_the_tree_count(corpus):
             assert 0 < info.currsize <= len(corpus)
 
 
-def test_a_full_memo_admits_a_window_on_its_second_miss(corpus, stackings):
+def test_a_full_memo_stores_nothing_more(corpus, stackings):
     _vectorized(corpus)  # four 10-lane chunks fill the memo
+    held = dict(executor._STACKED._shards)
     wide = dict(start=0, stop=20, chunk_size=20)
-    _vectorized(corpus, **wide)  # first miss: not admitted
+    truth = corpus.run(STACKED, engine="fast").rows
+    for _ in range(2):  # a full memo stacks the new window every time
+        built = len(stackings)
+        assert _vectorized(corpus, **wide) == truth[:20]
+        assert len(stackings) == built + 1
+    assert executor._STACKED._shards == held
     built = len(stackings)
-    _vectorized(corpus)
-    assert len(stackings) == built  # every resident survived
-    _vectorized(corpus, **wide)  # second miss: displaces the LRU two
-    built = len(stackings)
-    _vectorized(corpus, **wide)
+    _vectorized(corpus)  # every resident survived
     assert len(stackings) == built
     assert stacked_cache_info().currsize == len(corpus)
+
+
+def test_absent_labels_do_not_grow_a_held_shard(corpus):
+    window = dict(start=0, stop=10, chunk_size=10)
+    _vectorized(corpus, **window)
+    (shard,) = executor._STACKED._shards.values()
+    labels = dict(shard._labels)
+    assert set(labels) <= {"σ", "δ"}
+    absent = [xpath_query(f"//absent{i}") for i in range(50)]
+    for _ in range(2):
+        rows = _vectorized(corpus, queries=absent, **window)
+        assert rows == corpus.run(absent, engine="fast", **window).rows
+    assert executor._STACKED._shards == {(0, 10): shard}
+    assert shard._labels == labels
 
 
 def test_zero_queries_keep_one_empty_row_per_tree(corpus):
